@@ -422,24 +422,22 @@ func BenchmarkEndToEndRSp(b *testing.B) {
 }
 
 // BenchmarkPoolScoring isolates the model-guided searches' hot prelude
-// — draw the candidate pool, encode every configuration, score it
-// through the surrogate's batched path, take the cutoff quantile —
-// which RSp/RSb both pay before their first evaluation. The end-to-end
-// benchmarks above fold this into total search time; this one gives the
-// ROADMAP speed campaign (allocation-free pool scoring, contiguous tree
-// layout) a number to move on its own.
+// — search.ScorePool draws the candidate pool, encodes every
+// configuration and scores it through the surrogate's batched path,
+// then RSp takes the cutoff quantile. core.Run pays it once and shares
+// the pool between RSp and RSb; standalone RSp and RSb calls pay it
+// each. The end-to-end benchmarks above fold this into total search
+// time; this one gives the ROADMAP speed campaign a number to move on
+// its own.
 func BenchmarkPoolScoring(b *testing.B) {
 	tgt, sur := benchSurrogate(b)
 	spc := tgt.Space()
+	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pool := spc.SamplePool(2000, rng.NewNamed(2016, "pool"))
-		X := make([][]float64, len(pool))
-		for j, c := range pool {
-			X[j] = spc.Encode(c)
-		}
-		preds := sur.PredictAll(X)
-		stats.Quantile(preds, 0.2)
+		pool := search.ScorePool(ctx, "RSp", spc, sur, 2000, rng.NewNamed(2016, "pool"))
+		stats.Quantile(pool.Preds, 0.2)
 	}
 }
 

@@ -5,11 +5,13 @@
 //	go test -run '^$' -bench 'BenchmarkBroker' -benchtime 2x ./... |
 //	    go run ./cmd/benchjson -o BENCH_PR7.json
 //
-// Each benchmark line becomes an entry with its name, iteration count,
-// ns/op, and any extra metrics the benchmark reported via
-// b.ReportMetric (e.g. pearson, speedup). Lines that are not benchmark
-// results (pass/fail markers, package headers) are passed through to
-// stderr so a piped run still shows its progress.
+// Each benchmark line becomes an entry with its name, package (from the
+// most recent "pkg:" header before it, so output concatenated from
+// several packages keeps each result's own), iteration count, ns/op,
+// and any extra metrics the benchmark reported via b.ReportMetric
+// (e.g. pearson, speedup). Lines that are not benchmark results
+// (pass/fail markers, package headers) are passed through to stderr so
+// a piped run still shows its progress.
 //
 // The JSON is stable: entries appear in input order and keys are
 // emitted sorted, so two runs of the same benchmarks diff cleanly.
@@ -18,8 +20,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -30,6 +34,8 @@ type Entry struct {
 	// Name is the full benchmark name including sub-benchmarks,
 	// with the -N GOMAXPROCS suffix stripped.
 	Name string `json:"name"`
+	// Package is the import path of the package the benchmark ran in.
+	Package string `json:"package,omitempty"`
 	// Iterations is the measured b.N.
 	Iterations int64 `json:"iterations"`
 	// NsPerOp is the headline ns/op figure.
@@ -42,7 +48,7 @@ type Entry struct {
 // Report is the top-level JSON document.
 type Report struct {
 	// Context lines captured from the benchmark header (goos, goarch,
-	// pkg, cpu), keyed by field name.
+	// cpu), keyed by field name.
 	Context map[string]string `json:"context,omitempty"`
 	// Benchmarks holds the results in input order.
 	Benchmarks []Entry `json:"benchmarks"`
@@ -52,33 +58,11 @@ func main() {
 	out := flag.String("o", "BENCH.json", "output JSON file")
 	flag.Parse()
 
-	rep := Report{Context: map[string]string{}}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "Benchmark"):
-			if e, ok := parseBench(line); ok {
-				rep.Benchmarks = append(rep.Benchmarks, e)
-				continue
-			}
-		case hasContextPrefix(line):
-			k, v, _ := strings.Cut(line, ":")
-			rep.Context[k] = strings.TrimSpace(v)
-			continue
-		}
-		fmt.Fprintln(os.Stderr, line)
-	}
-	if err := sc.Err(); err != nil {
+	rep, err := parse(os.Stdin, os.Stderr)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	if len(rep.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
-	}
-
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -92,8 +76,43 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 }
 
+// parse reads `go test -bench` output and collects its results, copying
+// every other line to passthrough.
+func parse(r io.Reader, passthrough io.Writer) (Report, error) {
+	rep := Report{Context: map[string]string{}}
+	pkg := ""
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "Benchmark"):
+			if e, ok := parseBench(line); ok {
+				e.Package = pkg
+				rep.Benchmarks = append(rep.Benchmarks, e)
+				continue
+			}
+		case strings.HasPrefix(line, "pkg:"):
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			continue
+		case hasContextPrefix(line):
+			k, v, _ := strings.Cut(line, ":")
+			rep.Context[k] = strings.TrimSpace(v)
+			continue
+		}
+		fmt.Fprintln(passthrough, line)
+	}
+	if err := sc.Err(); err != nil {
+		return rep, err
+	}
+	if len(rep.Benchmarks) == 0 {
+		return rep, errors.New("no benchmark lines on stdin")
+	}
+	return rep, nil
+}
+
 func hasContextPrefix(line string) bool {
-	for _, p := range []string{"goos:", "goarch:", "pkg:", "cpu:"} {
+	for _, p := range []string{"goos:", "goarch:", "cpu:"} {
 		if strings.HasPrefix(line, p) {
 			return true
 		}

@@ -52,8 +52,9 @@ type Surrogate struct {
 func (s *Surrogate) Predict(x []float64) float64 { return s.Forest.Predict(x) }
 
 // PredictAll implements search.BatchModel by forwarding to the forest's
-// sharded batch path, so the pool-scoring loops of RSp/RSb/RSbA engage
-// worker-parallel prediction through the surrogate wrapper too.
+// batch path (tree-major, sharded over Forest workers, bit-identical to
+// Predict on each row), so search.Score and the pool scoring of
+// RSp/RSb/RSbA take it through the surrogate wrapper too.
 func (s *Surrogate) PredictAll(X [][]float64) []float64 { return s.Forest.PredictAll(X) }
 
 // FitSurrogate trains the random-forest surrogate M_a on T_a. Failed and
@@ -236,16 +237,19 @@ func Run(ctx context.Context, src, tgt search.Problem, opt Options) (*Outcome, e
 	out.RS = search.Replay(ctx, tgt, srcSeq, "RS")
 
 	if sur != nil {
+		// RSp and RSb draw their pools from identically seeded "pool"
+		// streams, so the pool is sampled, encoded and scored once and
+		// shared: the same configurations and predictions either way.
+		pool := search.ScorePool(ctx, "RSp+RSb", tgt.Space(), sur, opt.PoolSize, rng.NewNamed(opt.Seed, "pool"))
+
 		// RSp walks the same candidate stream as RS (fresh
 		// identically-seeded stream) and prunes with the surrogate.
-		out.RSp = search.RSp(ctx, tgt, sur,
-			search.RSpOptions{NMax: opt.NMax, PoolSize: opt.PoolSize, DeltaPct: opt.DeltaPct},
-			rng.NewNamed(opt.Seed, "crn-stream"), rng.NewNamed(opt.Seed, "pool"))
+		out.RSp = search.RSpPool(ctx, tgt, sur,
+			search.RSpOptions{NMax: opt.NMax, DeltaPct: opt.DeltaPct},
+			rng.NewNamed(opt.Seed, "crn-stream"), pool)
 
 		// RSb greedily evaluates the pool in ascending predicted order.
-		out.RSb = search.RSb(ctx, tgt, sur,
-			search.RSbOptions{NMax: opt.NMax, PoolSize: opt.PoolSize},
-			rng.NewNamed(opt.Seed, "pool"))
+		out.RSb = search.RSbPool(ctx, tgt, search.RSbOptions{NMax: opt.NMax}, pool)
 	} else {
 		// Fallback: plain RS on the variants' own streams, so the
 		// experiment still yields five complete runs (the variants just
@@ -292,7 +296,8 @@ func Run(ctx context.Context, src, tgt search.Problem, opt Options) (*Outcome, e
 		out.Spearman = s
 	}
 	if sur != nil {
-		var preds, tgtRuns []float64
+		var X [][]float64
+		var tgtRuns []float64
 		for i, srcRec := range out.SourceRS.Records {
 			if i >= len(out.RS.Records) {
 				break
@@ -301,9 +306,10 @@ func Run(ctx context.Context, src, tgt search.Problem, opt Options) (*Outcome, e
 			if !srcRec.Measured() || !tgtRec.Measured() {
 				continue
 			}
-			preds = append(preds, sur.Predict(tgt.Space().Encode(srcRec.Config)))
+			X = append(X, tgt.Space().Encode(srcRec.Config))
 			tgtRuns = append(tgtRuns, tgtRec.RunTime)
 		}
+		preds := search.Score(ctx, "core.Run", "correlate", sur, X)
 		if s, err := stats.Spearman(preds, tgtRuns); err == nil {
 			out.SurrogateSpearman = s
 		}

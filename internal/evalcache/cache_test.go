@@ -37,6 +37,15 @@ func atax(t testing.TB) search.Problem {
 	return kernels.NewProblem(k, sim.Target{Machine: m, Compiler: comp, Threads: 1})
 }
 
+// TestKeyGolden pins one cache key byte for byte: artifacts exported
+// by earlier builds are looked up by these strings.
+func TestKeyGolden(t *testing.T) {
+	got := key(Scope("ATAX@Sandybridge/gnu-4.4.7/t1", "faults=0.1", "seed=7"), space.Config{0, 12, 3, 105})
+	if want := "ATAX@Sandybridge/gnu-4.4.7/t1|faults=0.1|seed=7\x000,12,3,105"; got != want {
+		t.Fatalf("key = %q, want %q", got, want)
+	}
+}
+
 func TestCacheGetPutFirstWriteWins(t *testing.T) {
 	ch := New()
 	cfg := space.Config{1, 2, 3}

@@ -30,6 +30,16 @@ func (f *fakeProblem) Evaluate(c space.Config) (float64, float64) {
 	return run, run + 0.5 // 0.5s compile
 }
 
+// TestRollGolden pins one fault roll bit for bit: rolls hash the
+// configuration's Key, so a change to its form would move every
+// injected fault.
+func TestRollGolden(t *testing.T) {
+	in := Wrap(newFake(), Rates{Crash: 0.3}, 42)
+	if got := in.roll("crash", space.Config{12, 7}.Key(), 1); math.Float64bits(got) != 0x3fd85aa08b18bf10 {
+		t.Fatalf("roll = %v (%#x), want 0.3805314405790208", got, math.Float64bits(got))
+	}
+}
+
 func TestInjectorDeterminism(t *testing.T) {
 	rates := Rates{CompileFail: 0.2, Crash: 0.2, Hang: 0.1, NoiseTail: 0.1}
 	r := rng.New(7)

@@ -144,14 +144,15 @@ func Fit(X [][]float64, y []float64, p Params, r *rng.RNG) (*Forest, error) {
 // feeds model-fit telemetry events.
 func (f *Forest) FitStats() (rows int, dur time.Duration) { return f.fitRows, f.fitDur }
 
-// Predict returns the forest prediction (mean over trees) for x.
+// Predict returns the forest prediction for x: the sum of the trees'
+// predictions, taken in tree order starting from 0.0, divided by the
+// number of trees. PredictAll sums in the same order, so the two agree
+// bit for bit.
 //
 // Predict is safe for concurrent use: a fitted forest is immutable, and
-// prediction walks the flat tree arrays without any shared scratch.
+// prediction walks the packed tree arrays without any shared scratch.
 func (f *Forest) Predict(x []float64) float64 {
-	if len(x) != f.nf {
-		panic(fmt.Sprintf("forest: predict with %d features, trained on %d", len(x), f.nf))
-	}
+	f.checkRow(x)
 	sum := 0.0
 	for _, t := range f.trees {
 		sum += t.Predict(x)
@@ -159,12 +160,24 @@ func (f *Forest) Predict(x []float64) float64 {
 	return sum / float64(len(f.trees))
 }
 
+func (f *Forest) checkRow(x []float64) {
+	if len(x) != f.nf {
+		panic(fmt.Sprintf("forest: predict with %d features, trained on %d", len(x), f.nf))
+	}
+}
+
 // PredictAll predicts every row of X, sharding the rows over
-// Params.Workers goroutines. Each shard writes disjoint indices of the
-// output and every row is an independent Predict, so the result is
-// bit-identical to a serial loop for any worker count. Like Predict,
-// PredictAll is safe to call concurrently from multiple goroutines.
+// Params.Workers goroutines. Each shard walks the forest tree-major:
+// it adds tree 0's prediction to every row of the shard, then tree 1's,
+// and so on, so one tree's nodes stay in cache across the whole shard.
+// Every row still sums trees 0…T−1 in order from 0.0 before the one
+// division, so the result is bit-identical to Predict on each row for
+// any worker count. Like Predict, PredictAll is safe to call
+// concurrently from multiple goroutines.
 func (f *Forest) PredictAll(X [][]float64) []float64 {
+	for _, x := range X {
+		f.checkRow(x)
+	}
 	out := make([]float64, len(X))
 	workers := parallel.Workers(f.params.Workers)
 	if workers > len(X) {
@@ -174,8 +187,15 @@ func (f *Forest) PredictAll(X [][]float64) []float64 {
 	// overhead negligible next to a single tree walk.
 	parallel.Do(workers, workers, func(s int) {
 		lo, hi := parallel.Shard(len(X), workers, s)
-		for i := lo; i < hi; i++ {
-			out[i] = f.Predict(X[i])
+		rows, sums := X[lo:hi], out[lo:hi]
+		for _, t := range f.trees {
+			for i, x := range rows {
+				sums[i] += t.Predict(x)
+			}
+		}
+		n := float64(len(f.trees))
+		for i := range sums {
+			sums[i] /= n
 		}
 	})
 	return out

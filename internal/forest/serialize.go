@@ -75,11 +75,12 @@ func (f *Forest) Save(w io.Writer) error {
 	for _, t := range f.trees {
 		jt := jsonTree{Nodes: make([]jsonNode, len(t.nodes))}
 		for i, n := range t.nodes {
-			jt.Nodes[i] = jsonNode{
-				Feature: n.feature, Threshold: n.threshold,
-				Left: n.left, Right: n.right,
-				Value: n.value, Count: n.count, Gain: n.gain,
+			st := t.stats[i]
+			jn := jsonNode{Feature: int(n.feature), Value: st.mean, Count: st.count, Gain: st.gain}
+			if n.feature >= 0 {
+				jn.Threshold, jn.Left, jn.Right = n.v, i+1, int(n.right)
 			}
+			jt.Nodes[i] = jn
 		}
 		doc.Trees = append(doc.Trees, jt)
 	}
@@ -87,7 +88,9 @@ func (f *Forest) Save(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// Load reads a forest saved by Save and validates its structure.
+// Load reads a forest saved by Save and validates its structure. A
+// valid document may list its nodes in any order; Load renumbers every
+// tree into the preorder layout Predict walks.
 func Load(r io.Reader) (*Forest, error) {
 	var doc jsonForest
 	dec := json.NewDecoder(r)
@@ -97,7 +100,7 @@ func Load(r io.Reader) (*Forest, error) {
 	if doc.Version != wireVersion {
 		return nil, fmt.Errorf("forest: unsupported version %d", doc.Version)
 	}
-	if doc.Features <= 0 || len(doc.Trees) == 0 {
+	if doc.Features <= 0 || doc.Features > math.MaxInt32 || len(doc.Trees) == 0 {
 		return nil, fmt.Errorf("forest: empty or invalid document")
 	}
 	f := &Forest{nf: doc.Features, oobError: doc.OOBError, oobValid: doc.OOBValid}
@@ -105,7 +108,6 @@ func Load(r io.Reader) (*Forest, error) {
 		if len(jt.Nodes) == 0 {
 			return nil, corrupt(ti, -1, "tree is empty")
 		}
-		t := &Tree{nodes: make([]node, len(jt.Nodes))}
 		for i, jn := range jt.Nodes {
 			if jn.Feature >= doc.Features {
 				return nil, corrupt(ti, i, "references feature %d of %d", jn.Feature, doc.Features)
@@ -128,21 +130,16 @@ func Load(r io.Reader) (*Forest, error) {
 					return nil, corrupt(ti, i, "children collide (both %d)", jn.Left)
 				}
 			}
-			t.nodes[i] = node{
-				feature: jn.Feature, threshold: jn.Threshold,
-				left: jn.Left, right: jn.Right,
-				value: jn.Value, count: jn.Count, gain: jn.Gain,
-			}
 		}
-		if err := validateShape(ti, t.nodes); err != nil {
+		if err := validateShape(ti, jt.Nodes); err != nil {
 			return nil, err
 		}
-		f.trees = append(f.trees, t)
+		f.trees = append(f.trees, preorder(jt.Nodes))
 	}
 	return f, nil
 }
 
-// validateShape proves t.nodes is a proper binary tree rooted at node 0
+// validateShape proves nodes is a proper binary tree rooted at node 0
 // — the structural guarantee Tree.Predict relies on to terminate. The
 // per-node checks above only reject local defects (dangling or
 // self-referential children); a multi-node cycle (A→B→A), a shared
@@ -156,13 +153,13 @@ func Load(r io.Reader) (*Forest, error) {
 // from the root — which also rules out disconnected cycles, whose nodes
 // can never be reached. Together they imply acyclicity, so every
 // Predict descent strictly consumes unvisited nodes and terminates.
-func validateShape(ti int, nodes []node) error {
+func validateShape(ti int, nodes []jsonNode) error {
 	indeg := make([]int, len(nodes))
 	for i, n := range nodes {
-		if n.feature < 0 {
+		if n.Feature < 0 {
 			continue
 		}
-		for _, c := range [2]int{n.left, n.right} {
+		for _, c := range [2]int{n.Left, n.Right} {
 			indeg[c]++
 			if c == 0 {
 				return corrupt(ti, i, "cycle: root is a child of node %d", i)
@@ -180,12 +177,12 @@ func validateShape(ti int, nodes []node) error {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		n := nodes[i]
-		if n.feature < 0 {
+		if n.Feature < 0 {
 			continue
 		}
 		// indeg <= 1 everywhere makes revisits impossible here; children
 		// are marked before pushing purely to keep the count exact.
-		for _, c := range [2]int{n.left, n.right} {
+		for _, c := range [2]int{n.Left, n.Right} {
 			if !seen[c] {
 				seen[c] = true
 				visited++
@@ -201,4 +198,32 @@ func validateShape(ti int, nodes []node) error {
 		}
 	}
 	return nil
+}
+
+// preorder packs a validated node list into a Tree, renumbering it into
+// preorder (each left child right after its parent) whatever order the
+// document listed the nodes in.
+func preorder(nodes []jsonNode) *Tree {
+	t := &Tree{nodes: make([]node, 0, len(nodes)), stats: make([]nodeStats, 0, len(nodes))}
+	pos := make([]int32, len(nodes)) // document index -> preorder index
+	stack := []int{0}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		jn := nodes[i]
+		pos[i] = int32(len(t.nodes))
+		n := node{v: jn.Value, feature: -1}
+		if jn.Feature >= 0 {
+			n = node{v: jn.Threshold, feature: int32(jn.Feature)}
+			stack = append(stack, jn.Right, jn.Left) // the left child is popped next
+		}
+		t.nodes = append(t.nodes, n)
+		t.stats = append(t.stats, nodeStats{mean: jn.Value, count: jn.Count, gain: jn.Gain})
+	}
+	for i, jn := range nodes {
+		if jn.Feature >= 0 {
+			t.nodes[pos[i]].right = pos[jn.Right]
+		}
+	}
+	return t
 }

@@ -166,6 +166,7 @@ func TestLoadAcceptsHealthyDocuments(t *testing.T) {
 // Save→Load round trip.
 func FuzzLoad(fz *testing.F) {
 	fz.Add(`{"version":1,"features":1,"trees":[{"nodes":[{"f":-1,"v":2.5,"n":4}]}]}`)
+	fz.Add(rightFirstModel)
 	for _, tc := range corruptCorpus {
 		fz.Add(tc.doc)
 	}

@@ -48,6 +48,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		"self reference":  `{"version":1,"features":2,"trees":[{"nodes":[{"f":0,"t":1,"l":0,"r":0,"v":1,"n":1}]}]}`,
 		"feature too big": `{"version":1,"features":1,"trees":[{"nodes":[{"f":3,"t":1,"l":0,"r":0,"v":1,"n":1}]}]}`,
 		"empty tree":      `{"version":1,"features":1,"trees":[{"nodes":[]}]}`,
+		// A feature index must fit the packed node's int32.
+		"features past int32": `{"version":1,"features":4294967296,"trees":[{"nodes":[{"f":-1,"v":1,"n":1}]}]}`,
 	}
 	for name, doc := range cases {
 		if _, err := Load(strings.NewReader(doc)); err == nil {

@@ -9,28 +9,39 @@ package forest
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
 	"repro/internal/rng"
 )
 
-// node is one node of a regression tree, stored in a flat slice.
+// node is one node of a regression tree in its packed, 16-byte form:
+// the only fields Predict reads. Trees are stored in preorder, so an
+// inner node's left child is always the next node and only the right
+// child needs an index.
 type node struct {
-	// feature < 0 marks a leaf; value then holds the prediction.
-	feature   int
-	threshold float64
-	left      int
-	right     int
-	value     float64
-	count     int     // training rows in this node
-	gain      float64 // variance reduction achieved by this split
+	// v holds the split threshold on inner nodes and the prediction on
+	// leaves.
+	v float64
+	// feature < 0 marks a leaf.
+	feature int32
+	right   int32
 }
 
-// Tree is a fitted CART regression tree.
+// nodeStats holds the per-node training statistics that only String,
+// Importance and Save read, kept apart so Predict's walk touches none
+// of them.
+type nodeStats struct {
+	mean  float64 // mean training target (a leaf's prediction)
+	count int     // training rows in this node
+	gain  float64 // variance reduction achieved by this split
+}
+
+// Tree is a fitted CART regression tree. nodes and stats are parallel
+// slices in preorder; the root is node 0.
 type Tree struct {
 	nodes []node
+	stats []nodeStats
 }
 
 // TreeParams configures tree induction.
@@ -73,12 +84,13 @@ func FitTree(X [][]float64, y []float64, p TreeParams, r *rng.RNG) (*Tree, error
 	return t, nil
 }
 
-// grow recursively builds the subtree over the sample indices and returns
-// its node position.
+// grow recursively builds the subtree over the sample indices in
+// preorder and returns its node position.
 func (t *Tree) grow(X [][]float64, y []float64, idx []int, p TreeParams, r *rng.RNG, depth int) int {
 	mean, sse := meanSSE(y, idx)
 	pos := len(t.nodes)
-	t.nodes = append(t.nodes, node{feature: -1, value: mean, count: len(idx)})
+	t.nodes = append(t.nodes, node{v: mean, feature: -1})
+	t.stats = append(t.stats, nodeStats{mean: mean, count: len(idx)})
 
 	if sse <= 1e-24 || len(idx) < 2*p.minLeaf() || (p.MaxDepth > 0 && depth >= p.MaxDepth) {
 		return pos
@@ -101,13 +113,10 @@ func (t *Tree) grow(X [][]float64, y []float64, idx []int, p TreeParams, r *rng.
 		return pos
 	}
 
-	t.nodes[pos].feature = feat
-	t.nodes[pos].threshold = thr
-	t.nodes[pos].gain = gain
-	l := t.grow(X, y, left, p, r, depth+1)
-	rt := t.grow(X, y, right, p, r, depth+1)
-	t.nodes[pos].left = l
-	t.nodes[pos].right = rt
+	t.nodes[pos] = node{v: thr, feature: int32(feat)}
+	t.stats[pos].gain = gain
+	t.grow(X, y, left, p, r, depth+1) // lands at pos+1
+	t.nodes[pos].right = int32(t.grow(X, y, right, p, r, depth+1))
 	return pos
 }
 
@@ -193,16 +202,17 @@ func meanSSE(y []float64, idx []int) (mean, sse float64) {
 
 // Predict returns the tree's prediction for one feature vector.
 func (t *Tree) Predict(x []float64) float64 {
-	pos := 0
+	nodes := t.nodes
+	i := 0
 	for {
-		n := t.nodes[pos]
+		n := &nodes[i]
 		if n.feature < 0 {
-			return n.value
+			return n.v
 		}
-		if x[n.feature] <= n.threshold {
-			pos = n.left
+		if x[n.feature] <= n.v {
+			i++
 		} else {
-			pos = n.right
+			i = int(n.right)
 		}
 	}
 }
@@ -215,9 +225,7 @@ func (t *Tree) depth(pos int) int {
 	if n.feature < 0 {
 		return 0
 	}
-	l := t.depth(n.left)
-	r := t.depth(n.right)
-	return 1 + int(math.Max(float64(l), float64(r)))
+	return 1 + max(t.depth(pos+1), t.depth(int(n.right)))
 }
 
 // Leaves returns the number of leaves.
@@ -243,25 +251,25 @@ func (t *Tree) render(b *strings.Builder, pos, indent int, names []string) {
 	pad := strings.Repeat("  ", indent)
 	n := t.nodes[pos]
 	if n.feature < 0 {
-		fmt.Fprintf(b, "%s-> %.4g  (n=%d)\n", pad, n.value, n.count)
+		fmt.Fprintf(b, "%s-> %.4g  (n=%d)\n", pad, n.v, t.stats[pos].count)
 		return
 	}
 	name := fmt.Sprintf("x%d", n.feature)
-	if names != nil && n.feature < len(names) {
+	if names != nil && int(n.feature) < len(names) {
 		name = names[n.feature]
 	}
-	fmt.Fprintf(b, "%sif %s <= %.4g:\n", pad, name, n.threshold)
-	t.render(b, n.left, indent+1, names)
-	fmt.Fprintf(b, "%selse:  # %s > %.4g\n", pad, name, n.threshold)
-	t.render(b, n.right, indent+1, names)
+	fmt.Fprintf(b, "%sif %s <= %.4g:\n", pad, name, n.v)
+	t.render(b, pos+1, indent+1, names)
+	fmt.Fprintf(b, "%selse:  # %s > %.4g\n", pad, name, n.v)
+	t.render(b, int(n.right), indent+1, names)
 }
 
 // featureImportance accumulates, per feature, the total variance
 // reduction its splits achieved (the standard impurity-based importance).
 func (t *Tree) featureImportance(acc []float64) {
-	for _, n := range t.nodes {
-		if n.feature >= 0 && n.feature < len(acc) {
-			acc[n.feature] += n.gain
+	for i, n := range t.nodes {
+		if n.feature >= 0 && int(n.feature) < len(acc) {
+			acc[n.feature] += t.stats[i].gain
 		}
 	}
 }

@@ -122,6 +122,40 @@ func timed(tr *obs.Tracer, m Model) (Model, *timedModel) {
 	return tm, tm
 }
 
+// Score predicts every row of X with m, through its batched path when
+// it has one. When ctx carries a tracer, the batch is reported as one
+// model-predict event for algo's phase.
+func Score(ctx context.Context, algo, phase string, m Model, X [][]float64) []float64 {
+	tr := obs.FromContext(ctx)
+	scorer, tm := timed(tr, m)
+	preds := predictAll(scorer, X)
+	if tm != nil {
+		tm.flush(tr, algo, phase)
+	}
+	return preds
+}
+
+// Pool is a scored configuration pool: the random configurations X_p
+// of Algorithms 1 and 2 and the model's prediction for each. RSp reads
+// its cutoff quantile from Preds and RSb its evaluation order; neither
+// modifies the pool, so one Pool can serve both searches.
+type Pool struct {
+	Configs []space.Config
+	Preds   []float64
+}
+
+// ScorePool draws up to n distinct configurations from poolR, encodes
+// them and scores them with m in one batch, traced as algo's
+// "pool-score" phase.
+func ScorePool(ctx context.Context, algo string, spc *space.Space, m Model, n int, poolR *rng.RNG) *Pool {
+	configs := spc.SamplePool(n, poolR)
+	X := make([][]float64, len(configs))
+	for i, c := range configs {
+		X[i] = spc.Encode(c)
+	}
+	return &Pool{Configs: configs, Preds: Score(ctx, algo, "pool-score", m, X)}
+}
+
 // RSpOptions configures random search with the pruning strategy
 // (Algorithm 1).
 type RSpOptions struct {
@@ -164,6 +198,13 @@ func (o RSpOptions) withDefaults() RSpOptions {
 // order and merely skip some — the paper's common-random-numbers setup.
 // The pool is drawn from poolR.
 func RSp(ctx context.Context, p Problem, m Model, opt RSpOptions, r, poolR *rng.RNG) *Result {
+	pool := ScorePool(ctx, "RSp", p.Space(), m, opt.withDefaults().PoolSize, poolR)
+	return RSpPool(ctx, p, m, opt, r, pool)
+}
+
+// RSpPool is RSp over an already scored pool: the cutoff is the
+// DeltaPct-quantile of pool.Preds, and opt.PoolSize is not used.
+func RSpPool(ctx context.Context, p Problem, m Model, opt RSpOptions, r *rng.RNG, pool *Pool) *Result {
 	origDelta := opt.DeltaPct
 	_, adjusted := NormalizeDeltaPct(origDelta)
 	opt = opt.withDefaults()
@@ -174,17 +215,9 @@ func RSp(ctx context.Context, p Problem, m Model, opt RSpOptions, r, poolR *rng.
 	if adjusted {
 		run.tr.Warn("RSp", fmt.Sprintf("deltaPct %g outside (0,100); using default %g", origDelta, opt.DeltaPct))
 	}
+	cutoff := stats.Quantile(pool.Preds, opt.DeltaPct/100)
 	scorer, tm := timed(run.tr, m)
-
-	pool := spc.SamplePool(opt.PoolSize, poolR)
-	X := make([][]float64, len(pool))
-	for i, c := range pool {
-		X[i] = spc.Encode(c)
-	}
-	preds := predictAll(scorer, X)
-	cutoff := stats.Quantile(preds, opt.DeltaPct/100)
 	if tm != nil {
-		tm.flush(run.tr, "RSp", "pool-score")
 		defer tm.flush(run.tr, "RSp", "scan")
 	}
 
@@ -231,38 +264,29 @@ func (o RSbOptions) withDefaults() RSbOptions {
 // pool configuration with the smallest predicted run time, removing it
 // from the pool.
 func RSb(ctx context.Context, p Problem, m Model, opt RSbOptions, poolR *rng.RNG) *Result {
+	pool := ScorePool(ctx, "RSb", p.Space(), m, opt.withDefaults().PoolSize, poolR)
+	return RSbPool(ctx, p, opt, pool)
+}
+
+// RSbPool is RSb over an already scored pool; opt.PoolSize is not used.
+func RSbPool(ctx context.Context, p Problem, opt RSbOptions, pool *Pool) *Result {
 	opt = opt.withDefaults()
-	spc := p.Space()
 	run := newRunner(p, "RSb")
 	run.start(ctx)
 	defer run.finish()
-	scorer, tm := timed(run.tr, m)
-
-	pool := spc.SamplePool(opt.PoolSize, poolR)
-	type scored struct {
-		c    space.Config
-		pred float64
-	}
-	X := make([][]float64, len(pool))
-	for i, c := range pool {
-		X[i] = spc.Encode(c)
-	}
-	preds := predictAll(scorer, X)
-	scoredPool := make([]scored, len(pool))
-	for i, c := range pool {
-		scoredPool[i] = scored{c: c, pred: preds[i]}
-	}
-	if tm != nil {
-		tm.flush(run.tr, "RSb", "pool-score")
-	}
 	// Evaluating in ascending predicted order is equivalent to repeatedly
-	// taking the argmin and removing it (the model is fixed).
-	sort.SliceStable(scoredPool, func(a, b int) bool {
+	// taking the argmin and removing it (the model is fixed). The stable
+	// sort keeps pool order among equal predictions.
+	order := make([]int, len(pool.Configs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
 		//lint:ignore floatcmp predictions are means of finite training targets (forest fits on Dataset.Valid rows), so the pool is NaN-free
-		return scoredPool[a].pred < scoredPool[b].pred
+		return pool.Preds[order[a]] < pool.Preds[order[b]]
 	})
-	for i := 0; i < len(scoredPool) && len(run.res.Records) < opt.NMax && ctx.Err() == nil; i++ {
-		if _, ok := run.evaluate(ctx, scoredPool[i].c); !ok {
+	for i := 0; i < len(order) && len(run.res.Records) < opt.NMax && ctx.Err() == nil; i++ {
+		if _, ok := run.evaluate(ctx, pool.Configs[order[i]]); !ok {
 			break
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/rng"
@@ -206,16 +207,23 @@ type Config []int
 func (c Config) Clone() Config { return append(Config(nil), c...) }
 
 // Key returns a compact string key identifying the configuration, usable
-// as a map key for sampling without replacement.
+// as a map key for sampling without replacement: the levels in decimal
+// joined by commas ("3,0,12"). Evaluation-cache keys, fault rolls and
+// journal checks depend on this form byte for byte.
 func (c Config) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(c.appendKey(buf[:0]))
+}
+
+// appendKey appends c's Key form to b.
+func (c Config) appendKey(b []byte) []byte {
 	for i, v := range c {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return b.String()
+	return b
 }
 
 // Hash returns a stable 64-bit hash of the configuration under a tag.
@@ -328,6 +336,9 @@ type Sampler struct {
 	space *Space
 	r     *rng.RNG
 	seen  map[string]struct{}
+	// key is scratch for building Config keys, so a lookup allocates
+	// nothing; it makes a Sampler unsafe for concurrent use.
+	key []byte
 }
 
 // NewSampler returns a Sampler drawing from r.
@@ -336,12 +347,23 @@ func NewSampler(s *Space, r *rng.RNG) *Sampler {
 }
 
 // Exclude marks a configuration as already used.
-func (sm *Sampler) Exclude(c Config) { sm.seen[c.Key()] = struct{}{} }
+func (sm *Sampler) Exclude(c Config) { sm.add(c) }
 
 // Seen reports whether c has been returned or excluded.
 func (sm *Sampler) Seen(c Config) bool {
-	_, ok := sm.seen[c.Key()]
+	sm.key = c.appendKey(sm.key[:0])
+	_, ok := sm.seen[string(sm.key)]
 	return ok
+}
+
+// add marks c as used and reports whether it was new.
+func (sm *Sampler) add(c Config) bool {
+	sm.key = c.appendKey(sm.key[:0])
+	if _, ok := sm.seen[string(sm.key)]; ok {
+		return false
+	}
+	sm.seen[string(sm.key)] = struct{}{}
+	return true
 }
 
 // Drawn returns how many distinct configurations have been drawn/excluded.
@@ -357,9 +379,7 @@ func (sm *Sampler) Next() (Config, bool) {
 	// collisions are essentially nonexistent. For tiny test spaces the
 	// fallback below guarantees termination.
 	for attempt := 0; attempt < 64; attempt++ {
-		c := sm.space.Random(sm.r)
-		if !sm.Seen(c) {
-			sm.Exclude(c)
+		if c := sm.space.Random(sm.r); sm.add(c) {
 			return c, true
 		}
 	}

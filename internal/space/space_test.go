@@ -1,7 +1,9 @@
 package space
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +132,41 @@ func TestConfigKeyUniqueness(t *testing.T) {
 	}
 	if a.Key() != a.Clone().Key() {
 		t.Fatal("clone changed the key")
+	}
+}
+
+// TestConfigKeyMatchesFmtForm pins Key to the "%d"-joined form it was
+// first defined as: evaluation-cache keys, fault rolls and journal
+// checks compare these strings byte for byte.
+func TestConfigKeyMatchesFmtForm(t *testing.T) {
+	for _, c := range []Config{
+		nil, {}, {0}, {0, 0, 0}, {-1}, {7, -12, 0}, {10, 99, 100, 1023},
+		{math.MaxInt32, math.MinInt32}, {math.MaxInt64, math.MinInt64, -9},
+	} {
+		parts := make([]string, len(c))
+		for i, v := range c {
+			parts[i] = fmt.Sprintf("%d", v)
+		}
+		if got, want := c.Key(), strings.Join(parts, ","); got != want {
+			t.Errorf("Config%v.Key() = %q, want %q", []int(c), got, want)
+		}
+	}
+}
+
+func TestSamplerSeenAllocatesNothing(t *testing.T) {
+	s := smallSpace()
+	sm := NewSampler(s, rng.New(4))
+	hit, _ := sm.Next()
+	miss := hit.Clone()
+	miss[0] = (miss[0] + 1) % s.Param(0).Levels()
+	sm.Seen(miss) // size the key buffer
+	allocs := testing.AllocsPerRun(100, func() {
+		if !sm.Seen(hit) || sm.Seen(miss) {
+			t.Fatal("Seen answered wrongly")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Seen allocates %v times per call pair, want 0", allocs)
 	}
 }
 
